@@ -58,8 +58,8 @@ def _make_monitor(trace, workers, delay=0.0):
         protocols=("wifi", "bluetooth"),
         noise_floor=trace.noise_power,
         workers=workers,
-        parallel_backend="thread" if delay else "process",
-        parallel_granularity="range",
+        backend="thread" if delay else "process",
+        granularity="range",
     )
     if delay:
         for protocol, decoder in list(monitor._decoders.items()):

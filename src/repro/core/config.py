@@ -2,13 +2,12 @@
 
 ``RFDumpMonitor``, ``StreamingMonitor`` and the naive baselines each
 grew their own keyword soup; :class:`MonitorConfig` is the single seam
-they now share (and the one place observability hangs off).  Legacy
-keyword *names* still resolve (``parallel_backend`` maps to
-``backend``), but mixing a ``config=`` object with keywords that
+they now share (and the one place observability hangs off).  Keywords
+use the field names; mixing a ``config=`` object with keywords that
 *disagree* with it is an error: :func:`resolve_monitor_config` raises
-:class:`~repro.errors.ConfigurationError` where earlier releases only
-warned — a daemon serving many subscribers must not start from an
-ambiguous configuration.  Pass one or the other.
+:class:`~repro.errors.ConfigurationError` — a daemon serving many
+subscribers must not start from an ambiguous configuration.  Pass one
+or the other.
 """
 
 from __future__ import annotations
@@ -30,13 +29,6 @@ class _Unset:
 
 
 UNSET = _Unset()
-
-#: legacy keyword name -> MonitorConfig field
-LEGACY_ALIASES: Dict[str, str] = {
-    "parallel_backend": "backend",
-    "parallel_granularity": "granularity",
-    "parallel_timeout": "timeout",
-}
 
 _BACKENDS = ("thread", "process")
 _GRANULARITIES = ("protocol", "range")
@@ -70,10 +62,10 @@ class MonitorConfig:
     #: sustained overload the lowest-confidence ranges are shed before
     #: demodulation.  None (the default) disables deadlines entirely.
     deadline_ms: Optional[float] = None
-    #: fault policy threaded through every pipeline seam: None (legacy
-    #: per-component defaults), "raise", "skip" or "degrade" — see
+    #: fault policy threaded through every pipeline seam: "raise",
+    #: "skip" or "degrade" (``None`` normalizes to "degrade") — see
     #: :mod:`repro.core.errorpolicy`
-    on_error: Optional[str] = None
+    on_error: str = "degrade"
     #: shard workers the sharded monitoring service splits the band
     #: across (1 = a single monitor owns the whole band); consumed by
     #: :class:`repro.core.shards.ShardBroker` via
@@ -101,33 +93,20 @@ class MonitorConfig:
             raise ValueError("timeout must be positive")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
-        validate_error_policy(self.on_error)
+        object.__setattr__(self, "on_error",
+                           validate_error_policy(self.on_error))
 
     @classmethod
     def from_kwargs(cls, **kwargs) -> "MonitorConfig":
-        """Build a config from keyword arguments, accepting the legacy
-        names (``parallel_backend`` etc.) alongside the canonical ones."""
-        mapped: Dict[str, object] = {}
-        for key, value in kwargs.items():
-            canonical = LEGACY_ALIASES.get(key, key)
-            if canonical in mapped and mapped[canonical] != value:
-                raise ValueError(
-                    f"conflicting values for {canonical!r} "
-                    f"(given via both alias and canonical name)"
-                )
-            mapped[canonical] = value
+        """Build a config from keyword arguments named after its fields."""
         known = {f.name for f in fields(cls)}
-        unknown = set(mapped) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise TypeError(f"unknown monitor config fields: {sorted(unknown)}")
-        return cls(**mapped)
+        return cls(**kwargs)
 
     def to_kwargs(self) -> Dict[str, object]:
-        """The config as a keyword dict of canonical field names.
-
-        (The ``legacy=True`` variant that re-emitted the pre-unification
-        per-monitor keyword names is gone — internal callers consume
-        :class:`MonitorConfig` objects directly now.)"""
+        """The config as a keyword dict of its field names."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def replace(self, **changes) -> "MonitorConfig":
@@ -151,10 +130,9 @@ def resolve_monitor_config(config: Optional[MonitorConfig],
         return MonitorConfig.from_kwargs(**explicit)
     if not explicit:
         return config
-    canonical = {LEGACY_ALIASES.get(k, k): v for k, v in explicit.items()}
-    merged = config.replace(**canonical)
+    merged = config.replace(**explicit)
     clashes = sorted(
-        k for k in canonical if getattr(merged, k) != getattr(config, k)
+        k for k in explicit if getattr(merged, k) != getattr(config, k)
     )
     if clashes:
         raise ConfigurationError(

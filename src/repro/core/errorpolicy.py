@@ -4,12 +4,9 @@ RFDump is pitched as an always-on monitor of the shared ether; a live
 front end drops samples, a saturated ADC emits NaN bursts, and a buggy
 per-protocol analyzer must not take the whole pipeline down with it.
 Every fault-handling seam in the pipeline consults one policy knob
-(:attr:`MonitorConfig.on_error <repro.core.config.MonitorConfig>`):
+(:attr:`MonitorConfig.on_error <repro.core.config.MonitorConfig>`),
+which takes one of three values:
 
-``None`` (legacy)
-    Per-component historical behavior — stream gaps raise, worker
-    crashes fall back to a serial re-run (now recorded, no longer
-    silent), detector exceptions propagate unwrapped.
 ``"raise"``
     Strict: every fault surfaces immediately as its typed
     :class:`~repro.errors.RFDumpError` subclass
@@ -20,11 +17,18 @@ Every fault-handling seam in the pipeline consults one policy knob
 ``"skip"``
     Drop the faulting unit's work (a window, a detector's vote, a
     dispatched range) and continue; cheap, lossy, fully counted.
-``"degrade"``
+``"degrade"`` (the default)
     Recover as much as possible: resynchronize across gaps, sanitize
     non-finite bursts, quarantine repeat-offender detectors behind a
-    circuit breaker, retry broken worker pools and re-run failed tasks
-    inline — everything counted and surfaced on the report.
+    circuit breaker, retry broken worker pools and re-run crashed tasks
+    inline, shed tasks that miss their deadline, skip a crashed shard's
+    window — everything counted and surfaced on the report.  This is
+    the posture of an always-on monitor.
+
+``None`` is accepted where a policy enters the system
+(:func:`validate_error_policy`, hence :class:`MonitorConfig` and the
+``--on-error`` flags) and means the default, ``"degrade"``; no
+component below that boundary sees it.
 
 This module holds the pieces the policy seams share: the policy
 vocabulary, the :class:`ErrorRecord` that reports carry, and the
@@ -36,19 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-#: accepted values for ``on_error`` (``None`` = legacy per-component
-#: defaults; see the module docstring)
-ERROR_POLICIES: Tuple[Optional[str], ...] = (None, "raise", "skip", "degrade")
+#: accepted values for ``on_error`` (see the module docstring)
+ERROR_POLICIES: Tuple[str, ...] = ("raise", "skip", "degrade")
 
 
-def validate_error_policy(on_error: Optional[str]) -> Optional[str]:
-    """Return ``on_error`` unchanged if it is a known policy, else raise."""
-    if on_error not in ERROR_POLICIES:
+def validate_error_policy(policy: Optional[str]) -> str:
+    """Return ``policy`` if it is a known one (``None`` -> the default,
+    ``"degrade"``), else raise."""
+    if policy is None:
+        return "degrade"
+    if policy not in ERROR_POLICIES:
         raise ValueError(
-            f"on_error must be one of {ERROR_POLICIES[1:]} or None, "
-            f"got {on_error!r}"
+            f"on_error must be one of {ERROR_POLICIES} or None, "
+            f"got {policy!r}"
         )
-    return on_error
+    return policy
 
 
 @dataclass

@@ -33,7 +33,7 @@ from repro.util.db import db_to_linear
 class NaiveMonitor(Monitor):
     """Figure 1: the entire input stream goes to every demodulator.
 
-    Accepts the same ``config=`` / legacy-keyword split as
+    Accepts the same ``config=`` / per-field-keyword split as
     :class:`~repro.core.pipeline.RFDumpMonitor`; fields the baseline has
     no use for (kinds, workers) are simply ignored.
     """

@@ -29,12 +29,8 @@ a :mod:`concurrent.futures` pool, with
   the monitor surfaces on its report,
 * timeout handling *per policy*: ``"degrade"``/``"skip"`` **shed** the
   task (re-running a decode that already blew its budget would stall
-  the window exactly the way the watchdog exists to prevent),
-  ``"raise"`` raises :class:`~repro.errors.DecodeTimeoutError`, and the
-  legacy ``None`` policy keeps its calling-thread inline-retry contract
-  when no window budget is set, but under a budget the retry is
-  *bounded* (an abandonable daemon thread joined for at most the
-  remaining budget),
+  the window exactly the way the watchdog exists to prevent), and
+  ``"raise"`` raises :class:`~repro.errors.DecodeTimeoutError`,
 * leaked-worker accounting: ``Future.cancel()`` on a running worker is
   a no-op, so a timed-out worker keeps occupying its pool slot until
   the abandoned decode finishes.  The stage counts those slots on the
@@ -147,8 +143,8 @@ class _TaskEntry:
     #: absolute monotonic instant the task must be done by (None: no bound)
     deadline: Optional[float]
     outcome: Optional[TaskOutcome] = None
-    #: why the outcome came from an inline re-run ("crash" | "timeout")
-    fallback_reason: Optional[str] = None
+    #: the outcome came from an inline re-run after a worker crash
+    fell_back: bool = False
     skipped: bool = False
     shed: bool = False
 
@@ -220,15 +216,14 @@ class ParallelAnalysisStage:
         :func:`repro.core.parallelism.estimate_parallel_speedup` models.
     timeout_per_range:
         Watchdog seconds granted per dispatched range in a task; a task
-        that exceeds its budget is abandoned and re-run serially.
-        ``None`` disables the watchdog.
+        that exceeds its budget is abandoned and shed (or raises under
+        ``"raise"``).  ``None`` disables the watchdog.
     on_error:
-        Fault policy (:mod:`repro.core.errorpolicy`).  ``None`` keeps the
-        legacy contract (worker failures fall back inline, recorded);
-        ``"raise"`` surfaces them as :class:`WorkerCrashError`;
-        ``"skip"`` drops the failed task's output; ``"degrade"`` adds a
-        bounded pool-rebuild retry on a broken process pool before the
-        inline fallback.
+        Fault policy (:mod:`repro.core.errorpolicy`).  ``"raise"``
+        surfaces worker failures as :class:`WorkerCrashError`;
+        ``"skip"`` drops the failed task's output; ``"degrade"`` (the
+        default) rebuilds a broken process pool a bounded number of
+        times and otherwise re-runs the failed task inline, recorded.
     max_pool_restarts:
         How many times one :meth:`run` may rebuild a broken pool in
         ``"degrade"`` mode before giving up on the executor entirely.
@@ -241,7 +236,7 @@ class ParallelAnalysisStage:
         backend: str = "thread",
         granularity: str = "protocol",
         timeout_per_range: Optional[float] = None,
-        on_error: Optional[str] = None,
+        on_error: str = "degrade",
         max_pool_restarts: int = 2,
         obs=None,
     ):
@@ -477,40 +472,26 @@ class ParallelAnalysisStage:
         wall = time.perf_counter() - wall_start
 
         outcomes: List[TaskOutcome] = []
-        crash_fallbacks = 0
-        timeout_fallbacks = 0
+        fallbacks = 0
         skipped = 0
         shed = 0
         for entry in entries:
             if entry.outcome is not None:
                 outcomes.append(entry.outcome)
-                if entry.fallback_reason == "crash":
-                    crash_fallbacks += 1
-                elif entry.fallback_reason == "timeout":
-                    timeout_fallbacks += 1
+                fallbacks += entry.fell_back
             elif entry.shed:
                 shed += max(entry.task.n_ranges, 1)
             elif entry.skipped:
                 skipped += 1
-        fallbacks = crash_fallbacks + timeout_fallbacks
         self.fallbacks += fallbacks
         self.shed_ranges += shed
-        if crash_fallbacks:
+        if fallbacks:
             obs.counter(
                 "rfdump_parallel_fallbacks_total",
-                help="analysis tasks re-run serially, by reason (crash: "
-                     "worker failure; timeout: bounded legacy retry after "
-                     "a missed decode deadline)",
+                help="analysis tasks re-run serially after a worker "
+                     "failure",
                 reason="crash",
-            ).inc(crash_fallbacks)
-        if timeout_fallbacks:
-            obs.counter(
-                "rfdump_parallel_fallbacks_total",
-                help="analysis tasks re-run serially, by reason (crash: "
-                     "worker failure; timeout: bounded legacy retry after "
-                     "a missed decode deadline)",
-                reason="timeout",
-            ).inc(timeout_fallbacks)
+            ).inc(fallbacks)
         if skipped:
             obs.counter(
                 "rfdump_parallel_skipped_tasks_total",
@@ -659,7 +640,7 @@ class ParallelAnalysisStage:
             self._shed_entry(entry, obs)
             return
         entry.outcome = self._run_inline(entry.task)
-        entry.fallback_reason = "crash"
+        entry.fell_back = True
 
     def _shed_entry(self, entry: _TaskEntry, obs) -> None:
         """Drop a task's ranges to hold the latency budget, counted."""
@@ -678,10 +659,9 @@ class ParallelAnalysisStage:
             # cancel() on a running future is a no-op: the worker keeps
             # occupying its pool slot until the abandoned decode returns
             self._note_leak(entry.fut, obs)
-        per_task = (None if self.timeout_per_range is None
-                    else self.timeout_per_range * max(task.n_ranges, 1))
-        allowed = per_task
-        if allowed is None:
+        if self.timeout_per_range is not None:
+            allowed = self.timeout_per_range * max(task.n_ranges, 1)
+        else:
             allowed = budget.seconds if budget is not None else 0.0
         if self.on_error == "raise":
             self._cancel_all(pending)
@@ -694,70 +674,10 @@ class ParallelAnalysisStage:
             f"{task.protocol} task missed its {allowed:.3f}s decode "
             "deadline; worker abandoned"
         ), action="timeout")
-        if self.on_error in ("skip", "degrade"):
-            # shed: the budget is already spent, and re-running a decode
-            # that blew it would stall the window exactly the way the
-            # watchdog exists to prevent
-            self._shed_entry(entry, obs)
-            return
-        # legacy policy (on_error=None): the historical contract re-runs
-        # the task inline *in the calling thread*.  Without a window
-        # budget that contract is preserved verbatim; under a budget the
-        # retry is bounded on an abandonable thread instead — the
-        # unbounded calling-thread retry was the bug that let one stuck
-        # demodulator stall the whole window
-        if budget is None:
-            entry.outcome = self._run_inline(task)
-            entry.fallback_reason = "timeout"
-            return
-        bound = per_task if per_task is not None else float("inf")
-        bound = min(bound, max(budget.remaining(), 0.0))
-        outcome = self._run_inline_bounded(task, bound)
-        if outcome is not None:
-            entry.outcome = outcome
-            entry.fallback_reason = "timeout"
-            return
-        self._record_error(task, futures.TimeoutError(
-            f"bounded inline retry of the {task.protocol} task also "
-            f"exceeded {bound:.3f}s"
-        ), action="shed")
+        # shed: the budget is already spent, and re-running a decode
+        # that blew it would stall the window exactly the way the
+        # watchdog exists to prevent
         self._shed_entry(entry, obs)
-
-    def _run_inline_bounded(self, task: AnalysisTask,
-                            bound: float) -> Optional[TaskOutcome]:
-        """The legacy policy's inline retry, with an actual bound.
-
-        The retry runs on a daemon thread the stage can abandon —
-        blocking the calling thread on an unbounded ``_run_inline`` was
-        the bug that let one stuck demodulator stall the whole window.
-        Returns None when the retry also misses (or crashes; the crash
-        is recorded).
-        """
-        if bound <= 0:
-            return None
-        box: Dict[str, object] = {}
-        finished = threading.Event()
-
-        def _target() -> None:
-            try:
-                box["outcome"] = self._run_inline(task)
-            except Exception as exc:
-                box["error"] = exc
-            finally:
-                finished.set()
-
-        thread = threading.Thread(
-            target=_target, daemon=True,
-            name=f"rfdump-inline-retry-{task.protocol}")
-        thread.start()
-        if not finished.wait(bound):
-            return None
-        error = box.get("error")
-        if error is not None:
-            self._record_error(task, error, action="fallback")  # type: ignore[arg-type]
-            return None
-        outcome = box.get("outcome")
-        return outcome if isinstance(outcome, TaskOutcome) else None
 
     # -- leaked-slot accounting -----------------------------------------------
 

@@ -166,8 +166,8 @@ class RFDumpMonitor(Monitor):
     """The full RFDump pipeline over recorded traces.
 
     Configuration comes from a :class:`~repro.core.config.MonitorConfig`
-    (``config=``) or — the legacy path — from individual keyword
-    arguments; a keyword that disagrees with an explicit config raises
+    (``config=``) or from individual keyword arguments named after its
+    fields; a keyword that disagrees with an explicit config raises
     :class:`~repro.errors.ConfigurationError`.
 
     Parameters
@@ -188,8 +188,9 @@ class RFDumpMonitor(Monitor):
         demodulators over a :class:`ParallelAnalysisStage` pool; output
         is list-identical to a serial run.  Call :meth:`close` (or use
         the monitor as a context manager) to release the pool.
-    parallel_backend / parallel_granularity / parallel_timeout:
-        Forwarded to :class:`ParallelAnalysisStage`.
+    backend / granularity / timeout:
+        Forwarded to :class:`ParallelAnalysisStage` (pool backend, work
+        unit, and per-range watchdog seconds).
     deadline_ms:
         Per-window latency budget; enables the deadline/admission layer
         (:mod:`repro.core.deadline`): analysis runs against absolute
@@ -221,9 +222,9 @@ class RFDumpMonitor(Monitor):
         peak_config: Optional[PeakDetectorConfig] = None,
         noise_floor: Optional[float] = UNSET,
         workers: int = UNSET,
-        parallel_backend: str = UNSET,
-        parallel_granularity: str = UNSET,
-        parallel_timeout: Optional[float] = UNSET,
+        backend: str = UNSET,
+        granularity: str = UNSET,
+        timeout: Optional[float] = UNSET,
         on_error: Optional[str] = UNSET,
         deadline_ms: Optional[float] = UNSET,
         range_filter: Optional[
@@ -241,9 +242,9 @@ class RFDumpMonitor(Monitor):
             decode_payload=decode_payload,
             noise_floor=noise_floor,
             workers=workers,
-            parallel_backend=parallel_backend,
-            parallel_granularity=parallel_granularity,
-            parallel_timeout=parallel_timeout,
+            backend=backend,
+            granularity=granularity,
+            timeout=timeout,
             on_error=on_error,
             deadline_ms=deadline_ms,
         )
@@ -334,8 +335,6 @@ class RFDumpMonitor(Monitor):
                     with clock.stage(f"{detector.kind}_detection"):
                         found = detector.classify(detection, buffer)
             except Exception as exc:
-                if self.on_error is None:
-                    raise  # legacy: programming errors propagate unwrapped
                 if self.on_error == "raise":
                     raise DetectorCrashError(
                         f"detector {detector.name} failed on "

@@ -165,7 +165,7 @@ class ShardBroker(Monitor):
     def _handle_failure(self, worker: ShardWorker, exc: Exception,
                         window: SampleBuffer,
                         window_errors: List[ErrorRecord]) -> None:
-        if self.on_error is None or self.on_error == "raise":
+        if self.on_error == "raise":
             raise ShardCrashError(
                 f"{worker.name} failed window [{window.start_sample}, "
                 f"{window.end_sample}): {exc}", shard=worker.name,

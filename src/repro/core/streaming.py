@@ -51,11 +51,7 @@ class StreamingMonitor(Monitor):
         maximum-length 1 Mbps 802.11b frame).
     on_error:
         Fault policy for stream-level faults (gaps, NaN bursts); when
-        omitted, inherited from the wrapped monitor's config.  ``None``
-        keeps the legacy contract: gaps raise (a
-        :class:`~repro.errors.StreamGapError`, which is a
-        ``ValueError``), non-finite noise-floor estimates are skipped
-        and counted.
+        omitted, inherited from the wrapped monitor's config.
     """
 
     def __init__(self, monitor: Optional[RFDumpMonitor] = None,
@@ -72,11 +68,9 @@ class StreamingMonitor(Monitor):
         self.config = monitor.config
         self.obs = getattr(monitor, "obs", None)
         self.overlap = overlap
-        if on_error is None:
-            on_error = getattr(
-                getattr(monitor, "config", None), "on_error", None
-            )
-        self.on_error = validate_error_policy(on_error)
+        self.on_error = validate_error_policy(
+            on_error if on_error is not None else self.config.on_error
+        )
         #: stream-level faults handled so far (gaps, NaN bursts, skips)
         self.errors: List[ErrorRecord] = []
         #: samples lost to gaps and skipped windows
@@ -142,7 +136,7 @@ class StreamingMonitor(Monitor):
         if (self._tail is not None and len(self._tail)
                 and self._tail.end_sample != window.start_sample):
             expected = self._tail.end_sample
-            if self.on_error in (None, "raise"):
+            if self.on_error == "raise":
                 raise StreamGapError(
                     f"window starts at {window.start_sample}, expected "
                     f"{expected} (streams must be contiguous)",
@@ -172,60 +166,53 @@ class StreamingMonitor(Monitor):
             ).inc(lost)
             self._resync(window.start_sample)
         # -- sample integrity ------------------------------------------------
-        if self.on_error is not None:
-            bad = int(len(window) - np.count_nonzero(
-                np.isfinite(window.samples)
-            ))
-            if bad:
-                if self.on_error == "raise":
-                    raise SampleIntegrityError(
-                        f"{bad} non-finite samples in window "
-                        f"[{window.start_sample}, {window.end_sample})",
-                        bad_samples=bad,
-                    )
-                if self.on_error == "skip":
-                    record = ErrorRecord(
-                        stage="stream", component="window",
-                        error="SampleIntegrityError",
-                        message=f"{bad} non-finite samples; window "
-                                f"dropped", action="skipped",
-                        start_sample=window.start_sample,
-                        end_sample=window.end_sample,
-                    )
-                    self.errors.append(record)
-                    errors.append(record)
-                    self.lost_samples += len(window)
-                    obs.counter(
-                        "rfdump_stream_windows_skipped_total",
-                        help="windows dropped by the skip error policy",
-                    ).inc()
-                    self._resync(window.end_sample)
-                    # a zero-length tail at the window's end keeps the
-                    # next window's continuity check honest
-                    self._tail = window.slice(
-                        window.end_sample, window.end_sample
-                    )
-                    return None
-                # degrade: zero the burst and analyze what remains
+        bad = int(len(window) - np.count_nonzero(np.isfinite(window.samples)))
+        if bad:
+            if self.on_error == "raise":
+                raise SampleIntegrityError(
+                    f"{bad} non-finite samples in window "
+                    f"[{window.start_sample}, {window.end_sample})",
+                    bad_samples=bad,
+                )
+            if self.on_error == "skip":
                 record = ErrorRecord(
                     stage="stream", component="window",
                     error="SampleIntegrityError",
-                    message=f"{bad} non-finite samples sanitized to zero",
-                    action="sanitized", start_sample=window.start_sample,
+                    message=f"{bad} non-finite samples; window dropped",
+                    action="skipped",
+                    start_sample=window.start_sample,
                     end_sample=window.end_sample,
                 )
                 self.errors.append(record)
                 errors.append(record)
+                self.lost_samples += len(window)
                 obs.counter(
-                    "rfdump_stream_nonfinite_samples_total",
-                    help="NaN/Inf samples zeroed by the degrade policy",
-                ).inc(bad)
-                samples = np.nan_to_num(
-                    window.samples, nan=0.0, posinf=0.0, neginf=0.0
-                )
-                window = SampleBuffer(
-                    samples, window.timebase, window.start_sample
-                )
+                    "rfdump_stream_windows_skipped_total",
+                    help="windows dropped by the skip error policy",
+                ).inc()
+                self._resync(window.end_sample)
+                # a zero-length tail at the window's end keeps the
+                # next window's continuity check honest
+                self._tail = window.slice(window.end_sample, window.end_sample)
+                return None
+            # degrade: zero the burst and analyze what remains
+            record = ErrorRecord(
+                stage="stream", component="window",
+                error="SampleIntegrityError",
+                message=f"{bad} non-finite samples sanitized to zero",
+                action="sanitized", start_sample=window.start_sample,
+                end_sample=window.end_sample,
+            )
+            self.errors.append(record)
+            errors.append(record)
+            obs.counter(
+                "rfdump_stream_nonfinite_samples_total",
+                help="NaN/Inf samples zeroed by the degrade policy",
+            ).inc(bad)
+            samples = np.nan_to_num(
+                window.samples, nan=0.0, posinf=0.0, neginf=0.0
+            )
+            window = SampleBuffer(samples, window.timebase, window.start_sample)
         return window
 
     def process(self, window: SampleBuffer) -> MonitorReport:

@@ -8,7 +8,7 @@ threshold is applied.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -16,24 +16,21 @@ from repro.constants import DEFAULT_CHUNK_SAMPLES, DEFAULT_ENERGY_WINDOW
 from repro.dsp.samples import chunk_views
 
 
-def instant_power(samples: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+def instant_power(samples: np.ndarray) -> np.ndarray:
     """Per-sample ``|x|^2`` as float64, in one pass over real and imag.
 
     ``re*re + im*im`` avoids the intermediate magnitude array (and the
     square root) that ``np.abs(x) ** 2`` would compute; ``dtype=float64``
     on the ufunc folds the upcast into the multiply, skipping the
-    ``astype`` copies.  With ``out`` (a float64 array of the input's
-    length — the fused-kernel scratch path) the result is written in
-    place; values are bitwise identical either way.
+    ``astype`` copies.
     """
     x = np.asarray(samples)
     if np.iscomplexobj(x):
         re, im = x.real, x.imag
-        out = np.multiply(re, re, dtype=np.float64, out=out)
+        out = np.multiply(re, re, dtype=np.float64)
         out += np.multiply(im, im, dtype=np.float64)
         return out
-    return np.multiply(x, x, dtype=np.float64, out=out)
+    return np.multiply(x, x, dtype=np.float64)
 
 
 def interval_stats(
@@ -85,23 +82,16 @@ def _ramp(head: int) -> np.ndarray:
     return ramp
 
 
-def moving_average_of(power: np.ndarray, window: int,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Causal moving average of a precomputed power array.
-
-    ``out`` (a float64 array of the input's length) reuses a
-    caller-provided destination — the fused-kernel scratch path; values
-    are bitwise identical to the allocating path.
-    """
+def moving_average_of(power: np.ndarray, window: int) -> np.ndarray:
+    """Causal moving average of a precomputed power array."""
     if window <= 0:
         raise ValueError("window must be positive")
     power = np.asarray(power)
     if power.size == 0:
-        return power.astype(np.float64) if out is None else out[:0]
+        return power.astype(np.float64)
     # np.add.accumulate is np.cumsum minus the fromnumeric wrapper
     csum = np.add.accumulate(power, dtype=np.float64)
-    if out is None:
-        out = np.empty(power.size, dtype=np.float64)
+    out = np.empty(power.size, dtype=np.float64)
     head = min(window, power.size)
     out[:head] = csum[:head] / _ramp(head)
     if power.size > window:
@@ -119,21 +109,13 @@ def moving_average_power(samples: np.ndarray, window: int = DEFAULT_ENERGY_WINDO
     return moving_average_of(instant_power(samples), window)
 
 
-def chunk_average_of(power: np.ndarray, chunk_samples: int,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-chunk mean of a precomputed power array.
-
-    ``out`` (a float64 array of ``ceil(len(power) / chunk_samples)``
-    entries) reuses a caller-provided destination — the fused-kernel
-    scratch path; values are bitwise identical to the allocating path.
-    """
+def chunk_average_of(power: np.ndarray, chunk_samples: int) -> np.ndarray:
+    """Per-chunk mean of a precomputed power array."""
     if chunk_samples <= 0:
         raise ValueError("chunk_samples must be positive")
     body, tail = chunk_views(np.asarray(power), chunk_samples)
     nbody = body.shape[0]
-    n_out = nbody + (1 if tail.size else 0)
-    if out is None:
-        out = np.empty(n_out, dtype=np.float64)
+    out = np.empty(nbody + (1 if tail.size else 0), dtype=np.float64)
     # row means as one ufunc reduce + in-place divide: bitwise identical
     # to body.mean(axis=1) (np.mean is the same pairwise add.reduce),
     # without the per-call _methods._mean machinery
@@ -142,7 +124,7 @@ def chunk_average_of(power: np.ndarray, chunk_samples: int,
         out[:nbody] /= chunk_samples
     if tail.size:
         out[nbody] = np.add.reduce(tail, dtype=np.float64) / tail.size
-    return out[:n_out]
+    return out
 
 
 def chunk_average_power(

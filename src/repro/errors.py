@@ -61,8 +61,8 @@ class StreamGapError(RFDumpError, ValueError):
 
     A live front end drops samples on overruns, so long-running monitors
     treat this as a *fault to recover from*, not a programming error —
-    ``on_error="degrade"`` resynchronizes and counts the lost samples
-    instead of raising.  Subclasses :class:`ValueError` because that is
+    ``on_error="degrade"`` (the default) and ``"skip"`` resynchronize
+    and count the lost samples; only ``"raise"`` raises this.  Subclasses :class:`ValueError` because that is
     what pre-taxonomy callers caught.
     """
 
@@ -150,10 +150,10 @@ class ServiceProtocolError(RFDumpError):
 class ShardCrashError(RFDumpError):
     """A shard worker of the sharded monitoring service failed a window.
 
-    Raised only under ``on_error="raise"`` (or the legacy ``None``
-    policy); the skip/degrade policies count the failure against the
-    shard's circuit breaker and, once it trips, rebalance the shard's
-    sub-band onto a healthy neighbor instead.
+    Raised only under ``on_error="raise"``; the skip/degrade policies
+    count the failure against the shard's circuit breaker and, once it
+    trips, rebalance the shard's sub-band onto a healthy neighbor
+    instead.
     """
 
     def __init__(self, message: str, shard: Optional[str] = None):

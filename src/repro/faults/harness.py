@@ -81,7 +81,7 @@ class FaultRun:
 def run_faulted(windows: Sequence[SampleBuffer],
                 plan: Optional[FaultPlan] = None,
                 monitor: Optional[StreamingMonitor] = None,
-                on_error: Optional[str] = None,
+                on_error: str = "degrade",
                 overlap: int = 48_000,
                 config: Optional[MonitorConfig] = None,
                 **monitor_kwargs) -> FaultRun:

@@ -3,13 +3,8 @@
 ``make_monitor("flowgraph", ...)`` runs Figure 2 as an actual block
 graph — :func:`~repro.flowgraph.rfdump_graph.build_rfdump_graph` per
 window — instead of the batch :class:`~repro.core.pipeline.RFDumpMonitor`
-calls.  With ``fused=True`` (the ``rfdump --fuse`` flag) each window's
-graph is first passed through the stream-fusion compiler
-(:meth:`~repro.flowgraph.graph.FlowGraph.compile`), which collapses
-maximal linear chains of fusable blocks; fan-out stages — the detection
-DAG's peak fan-out, dispatch fan-in — stay on the interpreter, which is
-the documented fallback.  Outputs are identical either way; fusion only
-removes scheduler round-trips and intermediate buffers.
+calls — the structural twin of the batch pipeline, with the same
+packets and classifications.
 """
 
 from __future__ import annotations
@@ -24,11 +19,9 @@ from repro.core.monitor import Monitor
 class FlowGraphMonitor(Monitor):
     """One-shot monitor that streams each window through the block DAG."""
 
-    def __init__(self, config: Optional[MonitorConfig] = None,
-                 fused: bool = False):
+    def __init__(self, config: Optional[MonitorConfig] = None):
         self.config = config if config is not None else MonitorConfig()
         self.obs = self.config.obs
-        self.fused = bool(fused)
 
     def process(self, buffer) -> "MonitorReport":
         from repro.core.pipeline import MonitorReport
@@ -46,7 +39,7 @@ class FlowGraphMonitor(Monitor):
                 noise_floor=cfg.noise_floor,
                 obs=self.obs,
             )
-            graph.run(fused=self.fused)
+            graph.run()
         clock.touch("flowgraph", len(buffer))
         return MonitorReport(
             total_samples=len(buffer),

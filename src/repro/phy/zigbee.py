@@ -191,6 +191,9 @@ class ZigbeeDemodulator:
         if sfd_at + 4 > symbols.size:
             raise DecodeError("truncated ZigBee header")
         length = int(symbols[sfd_at + 2]) | (int(symbols[sfd_at + 3]) << 4)
+        if length < 2:
+            raise DecodeError(f"ZigBee PHR length {length} leaves no room "
+                              "for the 2-byte FCS")
         body_off = start + (sfd_at + 4) * self.sps
         body_syms = self._correlate_symbols(samples, body_off, 2 * length)
         if body_syms.size < 2 * length:

@@ -19,7 +19,7 @@ derived from the monitor's :mod:`repro.core.errorpolicy` taxonomy by
     the subscriber is cut off — a lossy stream is surfaced, not hidden
 ``drop_new`` (from ``on_error="skip"``)
     the event is not enqueued for this subscriber; old context wins
-``drop_old`` (from ``on_error="degrade"`` and the legacy default)
+``drop_old`` (from ``on_error="degrade"``, the default)
     the oldest queued event is evicted; the stream degrades to
     most-recent-wins but the subscriber stays attached
 
@@ -47,13 +47,13 @@ POLICY_DROP_OLD = "drop_old"
 SLOW_CONSUMER_POLICIES = (POLICY_DISCONNECT, POLICY_DROP_NEW, POLICY_DROP_OLD)
 
 
-def slow_consumer_policy(on_error: Optional[str]) -> str:
+def slow_consumer_policy(on_error: str) -> str:
     """Map the monitor's ``on_error`` policy onto a fan-out policy."""
     if on_error == "raise":
         return POLICY_DISCONNECT
     if on_error == "skip":
         return POLICY_DROP_NEW
-    # "degrade" and the legacy default both keep the daemon serving
+    # "degrade" keeps the daemon serving
     return POLICY_DROP_OLD
 
 

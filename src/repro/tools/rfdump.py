@@ -7,7 +7,7 @@ Usage::
         --detectors timing,phase --window-ms 100 --summary
     python -m repro.tools.rfdump capture.iq --workers 4 \
         --metrics-out metrics.txt --trace-out trace.json
-    python -m repro.tools.rfdump capture.iq --on-error degrade --summary
+    python -m repro.tools.rfdump capture.iq --on-error raise --summary
     python -m repro.tools.rfdump capture.iq --format jsonl
 
 The trace must have been written by :mod:`repro.trace` (raw complex64 +
@@ -15,10 +15,11 @@ JSON sidecar).  The monitor streams the file in windows, so traces larger
 than memory are fine.  ``--metrics-out`` writes a Prometheus-style text
 page of the run's metrics; ``--trace-out`` writes an execution trace
 (``.jsonl`` for JSON-lines, anything else a Chrome ``trace_event`` file
-that loads in ``chrome://tracing``).  ``--on-error degrade`` keeps a
-long-running monitor alive across stream gaps, NaN bursts and crashing
-components, printing a degradation summary to stderr when anything was
-absorbed.  ``--format jsonl`` emits one canonical
+that loads in ``chrome://tracing``).  The default ``--on-error
+degrade`` keeps a long-running monitor alive across stream gaps, NaN
+bursts and crashing components, printing a degradation summary to
+stderr when anything was absorbed; ``--on-error raise`` stops at the
+first fault instead.  ``--format jsonl`` emits one canonical
 :class:`~repro.core.PacketEvent` JSON object per line — the exact
 stream an ``rfdumpd`` subscriber receives for the same trace, so the
 two can be diffed byte for byte.
@@ -79,13 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'flowgraph' runs the Figure 2 block DAG per window)",
     )
     parser.add_argument(
-        "--fuse", action="store_true",
-        help="compile the flowgraph with the stream-fusion pass before "
-             "running: maximal linear chains of fusable blocks collapse "
-             "into single fused kernels over reused scratch (flowgraph "
-             "monitor only; output is identical to unfused execution)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=1,
         help="split the band across N shard workers (each a full "
              "streaming monitor owning a sub-band group, merged into "
@@ -99,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
              "counted) instead of stalling the stream",
     )
     parser.add_argument(
-        "--on-error", choices=("raise", "skip", "degrade"), default=None,
+        "--on-error", choices=("raise", "skip", "degrade"), default="degrade",
         help="fault policy: raise typed errors, skip faulting units, or "
              "degrade gracefully (resync gaps, sanitize NaN bursts, "
-             "quarantine crashing detectors); default keeps legacy "
-             "per-component behavior",
+             "quarantine crashing detectors, shed timed-out ranges); "
+             "default: degrade",
     )
     parser.add_argument(
         "--summary", action="store_true",
@@ -155,10 +149,6 @@ def run(args) -> int:
         print("rfdump: --shards applies to the rfdump monitor only",
               file=sys.stderr)
         return 2
-    if args.fuse and args.monitor != "flowgraph":
-        print("rfdump: --fuse applies to the flowgraph monitor only",
-              file=sys.stderr)
-        return 2
     obs = Observability() if (args.metrics_out or args.trace_out) else None
     config = MonitorConfig(
         sample_rate=meta.sample_rate,
@@ -182,13 +172,12 @@ def run(args) -> int:
         kind = "streaming"
     else:
         kind = args.monitor
-    extra = {"fused": True} if args.fuse else {}
 
     if args.format == "jsonl":
         # the event-stream path: same monitor, same windows, same wire
         # form as an rfdumpd subscriber — equivalence is line equality
         capture = [] if (args.pcap_out or args.sigmf_out) else None
-        with make_monitor(kind, config, **extra) as monitor:
+        with make_monitor(kind, config) as monitor:
             for event in monitor.events(reader):
                 print(event.to_json())
                 if capture is not None:
@@ -246,7 +235,7 @@ def run(args) -> int:
         packets = []
         classifications = []
         clock = None
-        with make_monitor(args.monitor, config, **extra) as monitor:
+        with make_monitor(args.monitor, config) as monitor:
             for buf in reader:
                 report = monitor.process(buf)
                 packets.extend(report.packets)

@@ -89,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "under overload low-confidence ranges are shed "
                             "instead of stalling the event stream")
     serve.add_argument("--on-error", choices=("raise", "skip", "degrade"),
-                       default=None,
-                       help="fault policy; also selects the slow-consumer "
-                            "policy (raise=disconnect, skip=drop newest, "
-                            "degrade=drop oldest)")
+                       default="degrade",
+                       help="fault policy (default: degrade); also selects "
+                            "the slow-consumer policy (raise=disconnect, "
+                            "skip=drop newest, degrade=drop oldest)")
     serve.add_argument("--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
                        help="per-subscriber bounded queue depth")
     serve.add_argument("--ingest-depth", type=int, default=DEFAULT_INGEST_DEPTH,

@@ -15,7 +15,8 @@ from repro.bench.results import (
     render_comparison,
     write_result,
 )
-from repro.bench.runner import BenchOptions, BenchRunner
+from repro.bench.registry import get_benchmark
+from repro.bench.runner import BenchOptions, BenchRunner, measure_speedup
 from repro.obs import Observability
 from repro.tools import rfbench
 
@@ -157,6 +158,16 @@ class TestRunner:
         runner = BenchRunner(BenchOptions(repeats=1, warmup=0))
         with pytest.raises(AssertionError):
             runner.run_one(self._tiny_bench(equivalence), calibration_sps=1e9)
+
+    def test_measure_speedup_interleaves_in_process(self):
+        # peak_detection has a reference twin, so both sides of every
+        # timed pair run in this process back to back
+        bench = get_benchmark("peak_detection")
+        m = measure_speedup(bench, BenchOptions(repeats=2, warmup=1,
+                                                quick=True))
+        assert m.name == "peak_detection"
+        assert len(m.reference_seconds) == len(m.current_seconds) == 2
+        assert m.factor > 0
 
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):

@@ -135,7 +135,7 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("granularity", ["protocol", "range"])
     def test_thread_backend_matches_serial(self, mixed_trace, serial_report,
                                            granularity):
-        with RFDumpMonitor(workers=4, parallel_granularity=granularity) as monitor:
+        with RFDumpMonitor(workers=4, granularity=granularity) as monitor:
             report = monitor.process(mixed_trace.buffer)
         assert [_packet_key(p) for p in report.packets] == [
             _packet_key(p) for p in serial_report.packets
@@ -149,7 +149,7 @@ class TestSerialParallelEquivalence:
         ]
 
     def test_process_backend_matches_serial(self, mixed_trace, serial_report):
-        with RFDumpMonitor(workers=2, parallel_backend="process") as monitor:
+        with RFDumpMonitor(workers=2, backend="process") as monitor:
             report = monitor.process(mixed_trace.buffer)
         assert [_packet_key(p) for p in report.packets] == [
             _packet_key(p) for p in serial_report.packets
@@ -186,7 +186,7 @@ class TestAccounting:
 
     def test_parallel_samples_touched_match_serial(self, mixed_trace,
                                                    serial_report):
-        with RFDumpMonitor(workers=3, parallel_granularity="range") as monitor:
+        with RFDumpMonitor(workers=3, granularity="range") as monitor:
             report = monitor.process(mixed_trace.buffer)
         assert (
             report.clock.samples_touched["demodulation"]
@@ -208,7 +208,8 @@ class TestFallback:
         assert len(packets) == 3  # nothing dropped
         assert demod["wifi"] >= 0.0
 
-    def test_timeout_falls_back_to_serial(self):
+    def test_timeout_sheds_by_default(self):
+        # a timed-out task is shed, not re-run: its budget is spent
         buffer, ranges = _fake_inputs(1)
         stage = ParallelAnalysisStage(
             {"wifi": _FakeDecoder(sleep_in_worker=1.0)},
@@ -216,8 +217,10 @@ class TestFallback:
         )
         packets, _, fallbacks = stage.run(buffer, ranges)
         stage._discard_executor()  # don't wait out the sleeping worker
-        assert fallbacks == 1
-        assert len(packets) == 1
+        assert fallbacks == 0
+        assert packets == []
+        assert stage.shed_ranges == 1
+        assert [r.action for r in stage.take_error_records()] == ["timeout"]
 
     def test_fallbacks_surface_in_report(self, wifi_trace):
         monitor = RFDumpMonitor(protocols=("wifi",), workers=2)

@@ -47,7 +47,8 @@ class TestStreamingMonitor:
         )
 
     def test_rejects_gap_in_stream(self, straddle_trace):
-        monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)))
+        monitor = StreamingMonitor(RFDumpMonitor(protocols=("wifi",)),
+                                   on_error="raise")
         monitor.process(straddle_trace.buffer.slice(0, 100_000))
         with pytest.raises(ValueError):
             monitor.process(straddle_trace.buffer.slice(200_000, 300_000))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import MonitorConfig
 from repro.core.errorpolicy import (
     ERROR_POLICIES,
     CircuitBreaker,
@@ -17,9 +18,20 @@ from repro.errors import (
 
 
 class TestPolicyVocabulary:
+    def test_three_policies(self):
+        assert ERROR_POLICIES == ("raise", "skip", "degrade")
+
     @pytest.mark.parametrize("policy", ERROR_POLICIES)
     def test_known_policies_pass_through(self, policy):
         assert validate_error_policy(policy) == policy
+
+    def test_none_normalises_to_degrade(self):
+        # None ("not chosen") is accepted at the boundary only and
+        # means the default; no component below sees it
+        assert validate_error_policy(None) == "degrade"
+        assert MonitorConfig().on_error == "degrade"
+        assert MonitorConfig(on_error=None).on_error == "degrade"
+        assert MonitorConfig.from_kwargs(on_error=None) == MonitorConfig()
 
     @pytest.mark.parametrize("policy", ("ignore", "RAISE", "", 0))
     def test_unknown_policies_rejected(self, policy):

@@ -179,13 +179,14 @@ class TestSkip:
         assert len(stage.take_error_records()) == 3
 
 
-class TestLegacy:
+class TestDefaultPolicy:
     def test_default_mode_still_falls_back_but_records(self):
         buffer, ranges = _fake_inputs(2)
         stage = ParallelAnalysisStage(
             {"wifi": CrashingDecoder(wrapped=_EmittingDecoder(), at=None)},
             workers=2, granularity="range",
         )
+        assert stage.on_error == "degrade"
         with stage:
             packets, _, fallbacks = stage.run(buffer, ranges)
         assert fallbacks == 2

@@ -129,17 +129,23 @@ class TestRaise:
         assert excinfo.value.detector == crasher.name
 
 
-class TestLegacy:
-    def test_default_mode_propagates_raw_exception(self, wifi_trace):
-        from repro.faults import InjectedFault
-
+class TestDefaultPolicy:
+    def test_default_mode_quarantines_crashing_detector(self, wifi_trace,
+                                                        baseline):
+        # the default policy is degrade: the crash is recorded and the
+        # healthy detectors' output is untouched
         crasher = CrashingDetector(at=None)
         monitor = RFDumpMonitor(
             detectors=_detectors(crasher),
             config=MonitorConfig(protocols=("wifi",)),
         )
-        with pytest.raises(InjectedFault):
-            monitor.process(wifi_trace.buffer)
+        report = monitor.process(wifi_trace.buffer)
+        (record,) = report.errors
+        assert record.stage == "detector"
+        assert record.component == crasher.name
+        assert record.action == "quarantined"
+        assert record.error == "InjectedFault"
+        assert _classification_keys(report) == _classification_keys(baseline)
 
 
 class TestWrappedDetector:

@@ -89,10 +89,15 @@ class TestStreamGap:
         assert isinstance(exc, ValueError)  # legacy contract preserved
         assert exc.gap_samples == 5_000
 
-    def test_legacy_default_still_raises(self, windows):
-        with pytest.raises(ValueError):
-            run_faulted(windows, self._plan(),
-                        overlap=OVERLAP, protocols=("wifi",))
+    def test_default_resyncs_with_gap_record(self, windows):
+        # the default policy is degrade: a gap resyncs and is recorded
+        run = run_faulted(windows, self._plan(),
+                          overlap=OVERLAP, protocols=("wifi",))
+        assert run.monitor.on_error == "degrade"
+        assert run.monitor.gaps == 1
+        (record,) = [e for e in run.monitor.errors
+                     if e.error == "StreamGapError"]
+        assert record.action == "resync"
 
 
 class TestNaNBurst:
@@ -145,11 +150,11 @@ class TestNaNBurst:
     def test_noise_floor_survives_nan_in_first_window_by_default(
         self, windows, clean
     ):
-        # satellite: a NaN burst in the very first window poisons the
+        # a NaN burst in the very first window would poison the
         # noise-floor estimate (percentile over NaN), and the carried
         # value would disable peak detection for the rest of the stream.
-        # Even in legacy mode the non-finite estimate must be discarded
-        # so the next window re-estimates.
+        # The default policy sanitizes the burst before the estimator
+        # sees it.
         obs = Observability()
         plan = FaultPlan(
             NaNBurstInjector(burst_samples=5_000, offset=10_000, at=(0,))
@@ -157,8 +162,8 @@ class TestNaNBurst:
         run = run_faulted(windows, plan, overlap=OVERLAP,
                           protocols=("wifi",), obs=obs)
         assert obs.registry.value(
-            "rfdump_stream_nonfinite_noise_floor_total"
-        ) == 1
+            "rfdump_stream_nonfinite_samples_total"
+        ) == 5_000
         floor = run.monitor._noise_floor
         assert floor is not None and np.isfinite(floor)
         # detection recovered: later windows still decode their packets

@@ -113,6 +113,16 @@ class TestWiring:
         graph.run()
         assert sink.items == [1]
 
+    def test_check_cache_invalidated_by_connect(self):
+        passthrough = FunctionBlock(lambda x: x, "passthrough")
+        graph = FlowGraph().chain(_ListSource([1]), passthrough, CollectSink())
+        graph.check()
+        assert graph._validated
+        graph.connect(passthrough, CollectSink("extra"))
+        assert not graph._validated
+        graph.check()
+        assert graph._validated
+
 
 class TestChunkBlocks:
     def _buffer(self):

@@ -6,10 +6,14 @@ import pytest
 
 from repro import Monitor, MonitorConfig, make_monitor
 from repro.core import EnergyNaiveMonitor, NaiveMonitor, RFDumpMonitor
-from repro.core.config import LEGACY_ALIASES, resolve_monitor_config
+from repro.core.config import resolve_monitor_config
 from repro.core.monitor import MONITOR_NAMES
 from repro.core.streaming import StreamingMonitor
 from repro.errors import ConfigurationError
+
+#: keyword names retired in favor of the MonitorConfig field names
+OLD_NAMES = {"parallel_backend": "process", "parallel_granularity": "range",
+             "parallel_timeout": 1.5}
 
 
 class TestMonitorConfig:
@@ -48,17 +52,22 @@ class TestMonitorConfig:
         )
         assert MonitorConfig.from_kwargs(**cfg.to_kwargs()) == cfg
 
-    def test_legacy_names_still_resolve_in_from_kwargs(self):
-        cfg = MonitorConfig(workers=2, backend="process", timeout=1.5)
-        legacy = {"workers": 2, "parallel_backend": "process",
-                  "parallel_timeout": 1.5}
-        assert set(LEGACY_ALIASES) >= {"parallel_backend", "parallel_timeout"}
-        assert MonitorConfig.from_kwargs(**legacy) == cfg
+    def test_old_alias_names_raise_type_error(self):
+        # the pre-MonitorConfig keyword names are gone everywhere:
+        # use backend / granularity / timeout
+        for old in OLD_NAMES:
+            with pytest.raises(TypeError):
+                MonitorConfig.from_kwargs(**{old: OLD_NAMES[old]})
+            with pytest.raises(TypeError):
+                resolve_monitor_config(MonitorConfig(),
+                                       **{old: OLD_NAMES[old]})
+            with pytest.raises(TypeError):
+                RFDumpMonitor(**{old: OLD_NAMES[old]})
 
     def test_to_kwargs_emits_canonical_names_only(self):
         out = MonitorConfig(backend="process").to_kwargs()
         assert "backend" in out
-        for old in LEGACY_ALIASES:
+        for old in OLD_NAMES:
             assert old not in out
         with pytest.raises(TypeError):
             MonitorConfig().to_kwargs(legacy=True)
@@ -68,7 +77,9 @@ class TestMonitorConfig:
             MonitorConfig.from_kwargs(warp_factor=9)
 
     def test_from_kwargs_rejects_alias_conflict(self):
-        with pytest.raises(ValueError):
+        # an old name next to its field name is no conflict to resolve now:
+        # the old name is simply unknown
+        with pytest.raises(TypeError):
             MonitorConfig.from_kwargs(backend="thread", parallel_backend="process")
 
     def test_replace_revalidates(self):
@@ -100,13 +111,12 @@ class TestResolve:
 
     def test_conflicting_legacy_alias_raises(self):
         cfg = MonitorConfig(backend="thread")
-        with pytest.raises(ConfigurationError, match="backend"):
+        with pytest.raises(TypeError):
             resolve_monitor_config(cfg, parallel_backend="process")
 
     def test_agreeing_mix_returns_config_unchanged(self):
         cfg = MonitorConfig(workers=2, backend="process")
-        out = resolve_monitor_config(cfg, workers=2,
-                                     parallel_backend="process")
+        out = resolve_monitor_config(cfg, workers=2, backend="process")
         assert out is cfg
 
 

@@ -116,6 +116,18 @@ class TestModem:
         with pytest.raises(ValueError):
             ZigbeeModulator(3e6)
 
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_phr_shorter_than_fcs_raises(self, modem, length):
+        # a PHR length of 0 or 1 leaves no room for the 2-byte FCS; the
+        # frame must be rejected as a decode failure, not an IndexError
+        mod, dem = modem
+        head = bytes(4) + bytes([0xA7, length]) + bytes(4)
+        chips = pn_table()[symbols_from_bytes(head)].ravel()
+        rx = _embed(mod._chips_to_waveform(chips), seed=7)
+        with pytest.raises(DecodeError):
+            dem.demodulate(rx)
+        assert dem.try_demodulate(rx) is None
+
     def test_empty_psdu(self, modem):
         mod, dem = modem
         packet = dem.demodulate(_embed(mod.modulate(b""), seed=6))

@@ -12,7 +12,7 @@ from repro.analysis.decoders import PacketRecord
 from repro.core.config import MonitorConfig
 from repro.core.shards import ShardBroker, merge_classifications, merge_packets
 from repro.core.streaming import StreamingMonitor
-from repro.errors import ShardCrashError
+from repro.errors import DetectorCrashError, ShardCrashError
 from repro.faults.components import CrashingDetector, InjectedFault
 from repro.faults.harness import preset_windows
 from repro.obs import Observability
@@ -39,13 +39,14 @@ def _key(p):
     return (p.start_sample, p.end_sample, p.protocol, p.decoder, p.channel)
 
 
-def _kill_shard(broker, index):
-    """Make shard ``index`` crash on every window: its inner monitor runs
-    the legacy policy, so the injected detector fault propagates out of
-    the worker and lands on the broker's policy seam."""
-    broker.workers[index].monitor.monitor.detectors.append(
-        CrashingDetector(at=None)
-    )
+def _kill_shard(broker, index, at=None):
+    """Make shard ``index`` crash on every window (or on the windows in
+    ``at``): its inner monitor runs the raise policy, so the injected
+    detector fault propagates out of the worker and lands on the
+    broker's policy seam."""
+    inner = broker.workers[index].monitor.monitor
+    inner.on_error = "raise"
+    inner.detectors.append(CrashingDetector(at=at))
 
 
 class TestRebalance:
@@ -111,15 +112,27 @@ class TestRebalance:
         assert broker.dead_shards == (0,)
         assert sorted(broker.owned_channels(1)) == list(range(8))
 
-    def test_legacy_and_raise_policies_surface_the_crash(self, windows):
-        for policy in (None, "raise"):
-            broker = ShardBroker(config=MonitorConfig(shards=2),
-                                 overlap=OVERLAP, on_error=policy)
-            _kill_shard(broker, 1)
-            with pytest.raises(ShardCrashError) as err:
-                broker.process(windows[0])
-            assert err.value.shard == "shard1"
-            assert isinstance(err.value.__cause__, InjectedFault)
+    def test_raise_surfaces_and_default_skips_the_crash(self, windows):
+        broker = ShardBroker(config=MonitorConfig(shards=2),
+                             overlap=OVERLAP, on_error="raise")
+        _kill_shard(broker, 1)
+        with pytest.raises(ShardCrashError) as err:
+            broker.process(windows[0])
+        assert err.value.shard == "shard1"
+        assert isinstance(err.value.__cause__, DetectorCrashError)
+        assert isinstance(err.value.__cause__.__cause__, InjectedFault)
+
+        # the default policy (degrade) skips the dead shard's window,
+        # recorded, and the healthy shard keeps reporting
+        broker = ShardBroker(config=MonitorConfig(shards=2), overlap=OVERLAP)
+        assert broker.on_error == "degrade"
+        _kill_shard(broker, 1)
+        broker.process(windows[0])
+        (record,) = broker.errors
+        assert (record.stage, record.component, record.action) == \
+            ("shard", "shard1", "skipped")
+        assert broker.workers[1].failures == 1
+        assert broker.workers[0].windows == 1
 
     def test_policy_inherited_from_config(self, windows):
         broker = ShardBroker(config=MonitorConfig(shards=2, on_error="raise"),
@@ -150,9 +163,7 @@ class TestRebalance:
         broker = ShardBroker(config=MonitorConfig(shards=4), overlap=OVERLAP,
                              on_error="degrade", breaker_threshold=1)
         kill_after = 2
-        broker.workers[1].monitor.monitor.detectors.append(
-            CrashingDetector(at=tuple(range(kill_after, 100)))
-        )
+        _kill_shard(broker, 1, at=tuple(range(kill_after, 100)))
         for window in windows:
             broker.process(window)
         broker.flush()

@@ -85,6 +85,24 @@ class TestRfdump:
         out = capsys.readouterr().out
         assert "decoded packets" in out
 
+        def decoded_packets(summary):
+            # the summary table's "decoded packets" column, per protocol
+            lines = summary.splitlines()
+            header = next(i for i, line in enumerate(lines)
+                          if "decoded packets" in line)
+            rows = [line.split() for line in lines[header + 2:]
+                    if line and not line.startswith("processing cost")]
+            return {row[0]: int(row[2]) for row in rows}
+
+        assert rfdump.main([str(recorded), "--summary"]) == 0
+        default = decoded_packets(capsys.readouterr().out)
+        code = rfdump.main([str(recorded), "--monitor", "flowgraph",
+                            "--summary"])
+        assert code == 0
+        flowgraph = decoded_packets(capsys.readouterr().out)
+        assert flowgraph == default
+        assert default["wifi"] > 0
+
 
 class TestRfdumpEventFormat:
     def test_jsonl_emits_canonical_events(self, recorded, capsys):
